@@ -159,6 +159,7 @@ class OffloadRuntime {
   /// the paper warns about — the pool allocation happens in *every*
   /// configuration, so code using it forfeits the zero-copy benefit (the
   /// reason the paper builds QMCPack without the HIP device library).
+  /// Throws `OffloadError{OutOfMemory}` when the device pool is exhausted.
   mem::VirtAddr device_alloc(std::uint64_t bytes, std::string name,
                              int device = 0);
   void device_free(mem::VirtAddr ptr);

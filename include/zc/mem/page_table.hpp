@@ -1,8 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <unordered_set>
+#include <iterator>
+#include <map>
 
 #include "zc/mem/address.hpp"
 
@@ -14,6 +14,11 @@ namespace zc::mem {
 /// been materialized) and the GPU page table (which pages the GPU can
 /// translate without an XNACK fault). Only presence matters to the paper's
 /// protocols; permissions and physical frames are out of scope.
+///
+/// Representation: an interval set of maximal present runs (start -> end,
+/// disjoint and never adjacent) plus a maintained page count. Tables hold
+/// a few huge regions, so every query and mutation costs O(log R + runs
+/// touched) for R runs, independent of how many pages a range spans.
 class PageTable {
  public:
   explicit PageTable(std::uint64_t page_bytes);
@@ -21,7 +26,8 @@ class PageTable {
   [[nodiscard]] std::uint64_t page_bytes() const { return page_bytes_; }
 
   [[nodiscard]] bool present(std::uint64_t page_index) const {
-    return pages_.contains(page_index);
+    const auto it = runs_.upper_bound(page_index);
+    return it != runs_.begin() && page_index < std::prev(it)->second;
   }
   [[nodiscard]] bool present_addr(VirtAddr a) const {
     return present(a.value / page_bytes_);
@@ -54,62 +60,40 @@ class PageTable {
   template <typename F>
   void for_each_absent_run(std::uint64_t first, std::uint64_t end,
                            F&& f) const {
-    std::uint64_t run_start = 0;
-    bool in_run = false;
-    for (std::uint64_t p = first; p < end; ++p) {
-      if (!pages_.contains(p)) {
-        if (!in_run) {
-          run_start = p;
-          in_run = true;
-        }
-      } else if (in_run) {
-        f(run_start, p);
-        in_run = false;
+    std::uint64_t p = first;
+    for (auto it = first_overlap(first); it != runs_.end() && it->first < end;
+         ++it) {
+      if (it->first > p) {
+        f(p, it->first);
       }
+      p = it->second;
     }
-    if (in_run) {
-      f(run_start, end);
+    if (p < end) {
+      f(p, end);
     }
   }
 
-  [[nodiscard]] std::uint64_t size() const { return pages_.size(); }
+  [[nodiscard]] std::uint64_t size() const { return pages_; }
   void clear() {
-    pages_.clear();
-    qcache_used_ = 0;
+    runs_.clear();
+    pages_ = 0;
   }
 
  private:
-  /// Memoized `count_absent` answers. A kernel launch queries the same
-  /// handful of buffer ranges on every dispatch while mutations touch
-  /// *other* ranges (fresh scratch faulting in, freed scratch unmapping),
-  /// so invalidating only the cached entries that overlap a mutation
-  /// keeps the steady-state buffers answered in O(1) — exactly, since a
-  /// disjoint mutation cannot change a range's absent count.
-  struct CachedQuery {
-    std::uint64_t first;
-    std::uint64_t end;
-    std::uint64_t absent;
-  };
-  static constexpr std::uint32_t kQueryCacheSlots = 16;
+  using Runs = std::map<std::uint64_t, std::uint64_t>;
 
-  void invalidate_queries(std::uint64_t first, std::uint64_t end) {
-    for (std::uint32_t i = 0; i < qcache_used_;) {
-      if (qcache_[i].first < end && first < qcache_[i].end) {
-        qcache_[i] = qcache_[--qcache_used_];  // swap-remove
-      } else {
-        ++i;
-      }
+  /// The first run that ends after `page` (the one containing it, if any).
+  [[nodiscard]] Runs::const_iterator first_overlap(std::uint64_t page) const {
+    auto it = runs_.upper_bound(page);
+    if (it != runs_.begin() && std::prev(it)->second > page) {
+      --it;
     }
+    return it;
   }
 
-  [[nodiscard]] std::uint64_t count_absent_pages(std::uint64_t first,
-                                                 std::uint64_t end) const;
-
   std::uint64_t page_bytes_;
-  std::unordered_set<std::uint64_t> pages_;
-  mutable std::array<CachedQuery, kQueryCacheSlots> qcache_{};
-  mutable std::uint32_t qcache_used_ = 0;
-  mutable std::uint32_t qcache_next_ = 0;  ///< ring replacement cursor
+  Runs runs_;               ///< present runs: start page -> end page
+  std::uint64_t pages_ = 0;  ///< total present pages
 };
 
 }  // namespace zc::mem

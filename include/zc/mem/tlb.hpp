@@ -1,6 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "zc/mem/address.hpp"
@@ -22,14 +26,17 @@ struct TlbAccessResult {
 /// which is the mechanism the paper suspects behind the Eager Maps S128
 /// variability.
 ///
-/// Implementation: exact LRU over fixed-size slots. The recency order is a
-/// doubly-linked list threaded through slot indices (no per-access node
-/// allocation), and page -> slot lookup is an open-addressing hash table
-/// with linear probing and backward-shift deletion. Both arrays are sized
-/// once at construction; the hot `access` path allocates nothing. The
-/// eviction policy is bit-identical to the std::list/unordered_map LRU it
-/// replaced: every access sequence produces the same hit/miss counts and
-/// the same resident set.
+/// Implementation: exact LRU whose recency list holds *runs* of pages
+/// rather than pages. Within a run the pages are consecutive and
+/// ascending, and the last page is the most recent, so a run is exactly
+/// what streaming a range leaves behind. An ordered index over run starts,
+/// fronted by a small direct-mapped cache of recent lookups, maps a page
+/// to its run. Streaming a resident segment then moves one run (or the
+/// touched slice of one) to the front in O(1) to O(log R); a miss batch
+/// evicts from the least recent run's head and extends the most recent
+/// run. Nothing is allocated until the first access. Every access
+/// sequence produces the same hit and miss counts, the same resident set
+/// and the same LRU order as a per-page LRU.
 class Tlb {
  public:
   explicit Tlb(std::uint32_t capacity, std::uint64_t page_bytes);
@@ -46,6 +53,16 @@ class Tlb {
 
   void invalidate_all();
 
+  /// Call `f(page)` for every resident page, most recently used first.
+  template <typename F>
+  void for_each_resident(F&& f) const {
+    for (std::uint32_t r = head_; r != kNil; r = runs_[r].next) {
+      for (std::uint64_t p = runs_[r].end; p > runs_[r].first; --p) {
+        f(p - 1);
+      }
+    }
+  }
+
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::uint64_t page_bytes() const { return page_bytes_; }
@@ -54,36 +71,60 @@ class Tlb {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kHintBits = 10;
+  static constexpr std::uint32_t kHintSlots = 1u << kHintBits;
 
-  /// One cached translation plus its recency-list links (slot indices).
-  struct Slot {
-    std::uint64_t page;
+  /// Resident pages [first, end), most recent last, plus recency-list
+  /// links (run slots; `prev` is toward the most recent end).
+  struct Run {
+    std::uint64_t first;
+    std::uint64_t end;
     std::uint32_t prev;
     std::uint32_t next;
   };
+  /// Page -> run lookup, allocated on first access.
+  struct Index {
+    /// Recycles `starts` nodes: runs split, merge and die on every miss
+    /// batch, and that churn should not go through `malloc`.
+    std::pmr::unsynchronized_pool_resource nodes;
+    std::pmr::map<std::uint64_t, std::uint32_t> starts{&nodes};  // -> slot
+    /// Page hash -> the run slot last found for it. A slot is right
+    /// whenever its run still holds the page: live runs are disjoint and
+    /// freed runs hold nothing.
+    std::array<std::uint32_t, kHintSlots> hint;
+  };
 
-  [[nodiscard]] std::uint32_t home(std::uint64_t page) const;
-  /// Probe position of `page` in `table_`, or kNil.
-  [[nodiscard]] std::uint32_t find_pos(std::uint64_t page) const;
-  /// Backward-shift deletion at table position `pos`.
-  void table_erase(std::uint32_t pos);
-  /// Unlink `slot` from the recency list.
+  [[nodiscard]] Index& index();
+  /// Stream pages [first, end) through the LRU, adding to `r`.
+  void touch(std::uint64_t first, std::uint64_t end, TlbAccessResult& r);
+  /// Slot of the run holding `page`; else kNil, with `next` set to the
+  /// first resident page above it (all ones if none).
+  [[nodiscard]] std::uint32_t find_run(std::uint64_t page,
+                                       std::uint64_t& next);
+  [[nodiscard]] std::uint32_t new_run(std::uint64_t first, std::uint64_t end);
+  void free_run(std::uint32_t slot);
   void unlink(std::uint32_t slot);
-  /// Link `slot` at the most-recent end.
   void link_front(std::uint32_t slot);
-  /// Insert a not-present `page` as most recent, evicting LRU when full.
-  void insert_new(std::uint64_t page);
+  /// Link `slot` just before (more recent than) `at`.
+  void link_before(std::uint32_t slot, std::uint32_t at);
+  /// Move run `slot`'s first page forward to `first`, within the run.
+  void move_first(std::uint32_t slot, std::uint64_t first);
+  /// Remove resident pages [a, b) of run `slot`; what remains of the run
+  /// keeps its place in the recency order.
+  void cut(std::uint32_t slot, std::uint64_t a, std::uint64_t b);
+  /// Make non-resident pages [a, b) the most recent, in ascending order.
+  void push_front(std::uint64_t a, std::uint64_t b);
+  /// Drop the `n` least recently used translations.
+  void evict(std::uint64_t n);
 
   std::uint32_t capacity_;
   std::uint64_t page_bytes_;
-  std::vector<Slot> slots_;           // capacity_ entries
-  std::vector<std::uint32_t> table_;  // open addressing: slot index + 1, 0 = empty
-  std::uint32_t mask_ = 0;            // table_.size() - 1 (power of two)
-  std::uint32_t head_ = kNil;         // most recently used slot
-  std::uint32_t tail_ = kNil;         // least recently used slot
-  std::uint32_t free_ = kNil;         // freelist threaded through Slot::next
-  std::uint32_t count_ = 0;           // live translations
-  std::uint32_t used_slots_ = 0;      // high-water slot allocation mark
+  std::vector<Run> runs_;         // run pool; freed slots chain via `next`
+  std::unique_ptr<Index> index_;  // null until the first access
+  std::uint32_t head_ = kNil;  // most recently used run
+  std::uint32_t tail_ = kNil;  // least recently used run
+  std::uint32_t free_ = kNil;  // freelist of run slots
+  std::uint64_t count_ = 0;    // live translations
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "zc/sim/time.hpp"
 
@@ -40,6 +41,9 @@ struct ServiceJobRecord {
   sim::TimePoint start;        ///< dispatch (== arrival for shed jobs)
   sim::TimePoint end;          ///< retirement (== arrival for shed jobs)
   ServiceJobOutcome outcome = ServiceJobOutcome::Completed;
+  /// For a job that failed with an `OffloadError`: its error-code name
+  /// (e.g. "out-of-memory"); empty otherwise.
+  std::string_view error;
 
   [[nodiscard]] sim::Duration queue_wait() const { return start - arrival; }
   [[nodiscard]] sim::Duration sojourn() const { return end - arrival; }

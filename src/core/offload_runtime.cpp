@@ -1416,8 +1416,18 @@ mem::VirtAddr OffloadRuntime::device_alloc(std::uint64_t bytes,
   ensure_initialized();
   check_device(device);
   std::string label = recorder_ != nullptr ? name : std::string{};
-  const mem::VirtAddr addr = hsa_.memory_pool_allocate(
+  // Pool exhaustion is the `omp_target_alloc` returning NULL case: only
+  // this construct fails, with the runtime's typed error.
+  const hsa::PoolAllocResult r = hsa_.try_memory_pool_allocate(
       bytes, std::move(name), /*count_in_ledger=*/true, device);
+  if (!r.ok()) {
+    throw OffloadError(ErrorCode::OutOfMemory,
+                       "device_alloc: " + std::to_string(bytes) +
+                           "B on device " + std::to_string(device) +
+                           " failed: " + hsa::to_string(r.status),
+                       device);
+  }
+  const mem::VirtAddr addr = r.addr;
   if (recorder_ != nullptr) {
     sim::Scheduler& sched = hsa_.machine().sched();
     recorder_->add_buffer(sched, mem::AddrRange{addr, bytes}, label,

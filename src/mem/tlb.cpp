@@ -1,20 +1,10 @@
 #include "zc/mem/tlb.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace zc::mem {
-
-namespace {
-/// splitmix64 finalizer: page indices are often small and sequential, so
-/// they need real mixing before masking down to a table position.
-[[nodiscard]] std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 Tlb::Tlb(std::uint32_t capacity, std::uint64_t page_bytes)
     : capacity_{capacity}, page_bytes_{page_bytes} {
@@ -24,77 +14,74 @@ Tlb::Tlb(std::uint32_t capacity, std::uint64_t page_bytes)
   if (page_bytes_ == 0 || (page_bytes_ & (page_bytes_ - 1)) != 0) {
     throw std::invalid_argument("Tlb: page size must be a power of two");
   }
-  slots_.resize(capacity_);
-  // Keep the load factor at or below 1/2 so linear probes stay short.
-  std::uint64_t table = 4;
-  while (table < 2ull * capacity_) {
-    table *= 2;
-  }
-  table_.assign(static_cast<std::size_t>(table), 0);
-  mask_ = static_cast<std::uint32_t>(table - 1);
 }
 
-std::uint32_t Tlb::home(std::uint64_t page) const {
-  return static_cast<std::uint32_t>(mix(page)) & mask_;
+Tlb::Index& Tlb::index() {
+  if (index_ == nullptr) {
+    index_ = std::make_unique<Index>();
+    index_->hint.fill(kNil);
+  }
+  return *index_;
 }
 
-std::uint32_t Tlb::find_pos(std::uint64_t page) const {
-  std::uint32_t pos = home(page);
-  while (true) {
-    const std::uint32_t e = table_[pos];
-    if (e == 0) {
-      return kNil;
-    }
-    if (slots_[e - 1].page == page) {
-      return pos;
-    }
-    pos = (pos + 1) & mask_;
+std::uint32_t Tlb::find_run(std::uint64_t page, std::uint64_t& next) {
+  Index& ix = index();
+  std::uint32_t& hint = ix.hint[static_cast<std::uint32_t>(
+      (page * 0x9e3779b97f4a7c15ull) >> (64 - kHintBits))];
+  if (hint < runs_.size() && runs_[hint].first <= page &&
+      page < runs_[hint].end) {
+    return hint;
   }
+  const auto it = ix.starts.upper_bound(page);
+  if (it != ix.starts.begin() && page < runs_[std::prev(it)->second].end) {
+    hint = std::prev(it)->second;
+    return hint;
+  }
+  next = it == ix.starts.end() ? ~std::uint64_t{0} : it->first;
+  return kNil;
 }
 
-void Tlb::table_erase(std::uint32_t pos) {
-  // Backward-shift deletion: pull later probe-chain entries into the hole
-  // so lookups never need tombstones. An entry at j may fill the hole at
-  // pos iff its home position is not cyclically inside (pos, j].
-  std::uint32_t j = pos;
-  while (true) {
-    table_[pos] = 0;
-    while (true) {
-      j = (j + 1) & mask_;
-      const std::uint32_t e = table_[j];
-      if (e == 0) {
-        return;
-      }
-      const std::uint32_t h = home(slots_[e - 1].page);
-      if (((j - h) & mask_) >= ((j - pos) & mask_)) {
-        table_[pos] = e;
-        pos = j;
-        break;
-      }
-    }
+std::uint32_t Tlb::new_run(std::uint64_t first, std::uint64_t end) {
+  std::uint32_t slot;
+  if (free_ != kNil) {
+    slot = free_;
+    free_ = runs_[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(runs_.size());
+    runs_.emplace_back();
   }
+  runs_[slot] = Run{first, end, kNil, kNil};
+  index().starts.emplace(first, slot);
+  return slot;
+}
+
+void Tlb::free_run(std::uint32_t slot) {
+  index_->starts.erase(runs_[slot].first);
+  runs_[slot].end = runs_[slot].first;
+  runs_[slot].next = free_;
+  free_ = slot;
 }
 
 void Tlb::unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  const Run& s = runs_[slot];
   if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
+    runs_[s.prev].next = s.next;
   } else {
     head_ = s.next;
   }
   if (s.next != kNil) {
-    slots_[s.next].prev = s.prev;
+    runs_[s.next].prev = s.prev;
   } else {
     tail_ = s.prev;
   }
 }
 
 void Tlb::link_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Run& s = runs_[slot];
   s.prev = kNil;
   s.next = head_;
   if (head_ != kNil) {
-    slots_[head_].prev = slot;
+    runs_[head_].prev = slot;
   }
   head_ = slot;
   if (tail_ == kNil) {
@@ -102,70 +89,133 @@ void Tlb::link_front(std::uint32_t slot) {
   }
 }
 
-void Tlb::insert_new(std::uint64_t page) {
-  std::uint32_t slot;
-  if (free_ != kNil) {
-    slot = free_;
-    free_ = slots_[slot].next;
-  } else if (used_slots_ < capacity_) {
-    slot = used_slots_++;
+void Tlb::link_before(std::uint32_t slot, std::uint32_t at) {
+  Run& s = runs_[slot];
+  s.next = at;
+  s.prev = runs_[at].prev;
+  if (s.prev != kNil) {
+    runs_[s.prev].next = slot;
   } else {
-    // Evict the least recently used translation and reuse its slot.
-    slot = tail_;
-    table_erase(find_pos(slots_[slot].page));
+    head_ = slot;
+  }
+  runs_[at].prev = slot;
+}
+
+void Tlb::move_first(std::uint32_t slot, std::uint64_t first) {
+  auto& starts = index_->starts;
+  const auto it = starts.find(runs_[slot].first);
+  const auto next = std::next(it);
+  auto node = starts.extract(it);
+  node.key() = first;
+  starts.insert(next, std::move(node));
+  runs_[slot].first = first;
+}
+
+void Tlb::cut(std::uint32_t slot, std::uint64_t a, std::uint64_t b) {
+  count_ -= b - a;
+  const Run x = runs_[slot];
+  if (a == x.first && b == x.end) {
     unlink(slot);
-    --count_;
+    free_run(slot);
+  } else if (a == x.first) {
+    move_first(slot, b);
+  } else if (b == x.end) {
+    runs_[slot].end = a;
+  } else {
+    // The pages above the cut are more recent than those below it.
+    runs_[slot].end = a;
+    link_before(new_run(b, x.end), slot);
   }
-  slots_[slot].page = page;
-  link_front(slot);
-  std::uint32_t pos = home(page);
-  while (table_[pos] != 0) {
-    pos = (pos + 1) & mask_;
+}
+
+void Tlb::push_front(std::uint64_t a, std::uint64_t b) {
+  count_ += b - a;
+  if (head_ != kNil && runs_[head_].end == a) {
+    runs_[head_].end = b;
+  } else {
+    link_front(new_run(a, b));
   }
-  table_[pos] = slot + 1;
-  ++count_;
+}
+
+void Tlb::evict(std::uint64_t n) {
+  while (n > 0) {
+    const std::uint32_t t = tail_;
+    const std::uint64_t len = runs_[t].end - runs_[t].first;
+    if (len > n) {
+      count_ -= n;
+      move_first(t, runs_[t].first + n);
+      return;
+    }
+    n -= len;
+    count_ -= len;
+    unlink(t);
+    free_run(t);
+  }
+}
+
+void Tlb::touch(std::uint64_t first, std::uint64_t end, TlbAccessResult& r) {
+  // Callers keep end - first <= capacity_, so pages touched earlier in the
+  // stream are never the LRU victim of a later miss in it.
+  std::uint64_t p = first;
+  while (p < end) {
+    std::uint64_t next = 0;
+    if (const std::uint32_t x = find_run(p, next); x != kNil) {
+      // Resident up to the end of its run: all hits, no evictions.
+      const std::uint64_t b = std::min(runs_[x].end, end);
+      r.hits += b - p;
+      if (runs_[x].first == p && runs_[x].end == b) {
+        if (head_ != x) {
+          unlink(x);
+          link_front(x);
+        }
+      } else {
+        cut(x, p, b);
+        push_front(p, b);
+      }
+      p = b;
+      continue;
+    }
+    // Absent up to the next resident page: each miss evicts the LRU page
+    // once the TLB is full. The victims are the oldest pages whatever the
+    // interleaving, so they can be dropped as one batch up front; if the
+    // next resident page is among them, the next round misses it.
+    const std::uint64_t b = std::min(next, end);
+    r.misses += b - p;
+    if (count_ + (b - p) > capacity_) {
+      evict(count_ + (b - p) - capacity_);
+    }
+    push_front(p, b);
+    p = b;
+  }
 }
 
 bool Tlb::access(std::uint64_t page_index) {
-  const std::uint32_t pos = find_pos(page_index);
-  if (pos != kNil) {
-    const std::uint32_t slot = table_[pos] - 1;
-    if (head_ != slot) {
-      unlink(slot);
-      link_front(slot);
-    }
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  insert_new(page_index);
-  return false;
+  TlbAccessResult r;
+  touch(page_index, page_index + 1, r);
+  hits_ += r.hits;
+  misses_ += r.misses;
+  return r.hits == 1;
 }
 
 TlbAccessResult Tlb::access_range(AddrRange range) {
   TlbAccessResult r;
   const std::uint64_t first = range.first_page(page_bytes_);
   const std::uint64_t end = range.end_page(page_bytes_);
-  // Fast path: a sequential stream at least as large as the TLB thrashes
-  // completely under LRU — every access misses and the TLB ends up holding
-  // the last `capacity` pages. Model that directly instead of walking
-  // millions of pages.
+  // Fast path: a sequential stream larger than the TLB is modelled as a
+  // complete thrash — every access misses and the TLB ends up holding the
+  // last `capacity` pages. (Exact LRU would hit on resident pages at the
+  // head of the range, so this over-counts misses there; it is kept as the
+  // model's definition of a thrashing sweep.)
   if (end - first > capacity_) {
     r.misses = end - first;
     misses_ += r.misses;
     invalidate_all();
-    for (std::uint64_t p = end - capacity_; p < end; ++p) {
-      insert_new(p);
-    }
+    push_front(end - capacity_, end);
     return r;
   }
-  for (std::uint64_t p = first; p < end; ++p) {
-    if (access(p)) {
-      ++r.hits;
-    } else {
-      ++r.misses;
-    }
-  }
+  touch(first, end, r);
+  hits_ += r.hits;
+  misses_ += r.misses;
   return r;
 }
 
@@ -175,44 +225,27 @@ void Tlb::invalidate_range(AddrRange range) {
   }
   const std::uint64_t first = range.first_page(page_bytes_);
   const std::uint64_t end = range.end_page(page_bytes_);
-  if (end - first < count_) {
-    // Narrow range: probe each page individually.
-    for (std::uint64_t p = first; p < end; ++p) {
-      const std::uint32_t pos = find_pos(p);
-      if (pos == kNil) {
-        continue;
-      }
-      const std::uint32_t slot = table_[pos] - 1;
-      table_erase(pos);
-      unlink(slot);
-      slots_[slot].next = free_;
-      free_ = slot;
-      --count_;
-    }
-    return;
+  auto& starts = index_->starts;
+  auto it = starts.upper_bound(first);
+  if (it != starts.begin() && runs_[std::prev(it)->second].end > first) {
+    --it;
   }
-  // Wide range: walk the resident set once instead of probing per page.
-  std::uint32_t slot = head_;
-  while (slot != kNil) {
-    const std::uint32_t next = slots_[slot].next;
-    const std::uint64_t p = slots_[slot].page;
-    if (p >= first && p < end) {
-      table_erase(find_pos(p));
-      unlink(slot);
-      slots_[slot].next = free_;
-      free_ = slot;
-      --count_;
-    }
-    slot = next;
+  while (it != starts.end() && it->first < end) {
+    const std::uint32_t slot = it->second;
+    ++it;  // `cut` may erase or re-key this run's node, never the next one
+    cut(slot, std::max(first, runs_[slot].first),
+        std::min(end, runs_[slot].end));
   }
 }
 
 void Tlb::invalidate_all() {
-  std::fill(table_.begin(), table_.end(), 0u);
+  if (index_ != nullptr) {
+    index_->starts.clear();
+  }
+  runs_.clear();
   head_ = kNil;
   tail_ = kNil;
   free_ = kNil;
-  used_slots_ = 0;
   count_ = 0;
 }
 

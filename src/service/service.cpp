@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -306,8 +307,8 @@ std::optional<Dispatch> pick_job(Core& c, const ServiceParams& p,
 /// job's charge is released (pushed to the adaptive policy outside the
 /// lock).
 double retire_job(Core& c, const ServiceParams& p, const Dispatch& d,
-                  double functional, bool ok, std::uint64_t page,
-                  TimePoint now) {
+                  double functional, std::string_view error,
+                  std::uint64_t page, TimePoint now) {
   const auto t = static_cast<std::size_t>(d.spec.tenant);
   const auto s = static_cast<std::size_t>(d.spec.device);
   c.charged[s] -= d.footprint;
@@ -327,7 +328,7 @@ double retire_job(Core& c, const ServiceParams& p, const Dispatch& d,
   rec.end = now;
 
   bool completed = false;
-  if (ok) {
+  if (error.empty()) {
     const double expected = workloads::service_job_checksum(d.spec, page);
     if (functional == expected) {
       completed = true;
@@ -344,6 +345,7 @@ double retire_job(Core& c, const ServiceParams& p, const Dispatch& d,
   } else {
     ++a.stats.failed;
     rec.outcome = trace::ServiceJobOutcome::Failed;
+    rec.error = error;
     if (p.config.policy == ServicePolicy::Full) {
       apply_transitions(c, d.spec.tenant, d.spec.device,
                         a.breaker.record_trip(now));
@@ -415,19 +417,18 @@ void worker_fiber(OffloadStack& stack, const ServiceParams& p,
     rt.set_service_pressure(dis->spec.device, dis->occupancy);
     stack.hsa().set_thread_tenant(dis->spec.tenant);
     double functional = 0.0;
-    bool ok = false;
+    std::string_view error;
     try {
       functional = workloads::run_service_job(stack, dis->spec);
-      ok = true;
-    } catch (const omp::OffloadError&) {
-      ok = false;  // typed runtime failure -> Failed outcome + breaker trip
+    } catch (const omp::OffloadError& e) {
+      error = omp::to_string(e.code());  // Failed outcome + breaker trip
     }
     stack.hsa().set_thread_tenant(-1);
     double occ_after = 0.0;
     {
       LockGuard lock{sh->mu, sched};
-      occ_after = retire_job(sh->core.get(sched), p, *dis, functional, ok,
-                             page, sched.now());
+      occ_after = retire_job(sh->core.get(sched), p, *dis, functional,
+                             error, page, sched.now());
     }
     rt.set_service_pressure(dis->spec.device, occ_after);
     sh->work.notify_all(sched, sched.now());

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
-#include <tuple>
 
 namespace zc::apu {
 namespace {
@@ -62,8 +62,19 @@ TEST(RunEnvironment, ToStringRendersAdaptiveMode) {
 // The auto-detection variable now has three states; cover every accepted
 // spelling (including the case-insensitive ones) alongside the boolean
 // forms the other variables share.
+//
+// The case prints as its spelling and mode, never as a pointer: ctest names
+// each case after the printed parameter, and a `const char*` inside a tuple
+// prints with its load address, which changes from run to run under ASLR.
 
-using ApuMapsCase = std::tuple<const char* /*value*/, ApuMapsMode>;
+struct ApuMapsCase {
+  const char* value;
+  ApuMapsMode expected;
+
+  friend void PrintTo(const ApuMapsCase& c, std::ostream* os) {
+    *os << "(\"" << c.value << "\", " << to_string(c.expected) << ")";
+  }
+};
 
 class ApuMapsValues : public ::testing::TestWithParam<ApuMapsCase> {};
 

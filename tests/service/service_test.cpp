@@ -221,5 +221,44 @@ TEST(ServiceTest, StressModePreservesChecksums) {
   EXPECT_EQ(stressed.checksum_divergences, 0u);
 }
 
+// Regression: a Staged job's `device_alloc` on an exhausted pool used to
+// raise hsa::HsaError, which escaped the worker and aborted the whole run.
+// With admission still letting the pool run out (4 tenants, Legacy Copy,
+// 2 x 512 MB sockets, 2 ms interarrival, arrival seed 1), the run must
+// complete, keep every tenant's books, and fail those jobs as OutOfMemory.
+TEST(ServiceTest, PoolExhaustionFailsJobsAsOutOfMemory) {
+  ServiceParams p;
+  p.config.tenants = 4;
+  p.config.policy = ServicePolicy::Full;
+  p.workers = 4;
+  p.arrival.tenants = 4;
+  p.arrival.sockets = 2;
+  p.arrival.jobs = 180;
+  p.arrival.base_interarrival = sim::Duration::microseconds(2000);
+  p.arrival.kernel_compute = sim::Duration::microseconds(50);
+  p.arrival.seed = 1;
+  p.base.config = omp::RuntimeConfig::LegacyCopy;
+  p.base.seed = 1;
+  apu::Topology t;
+  t.sockets = 2;
+  t.hbm_bytes = 512ULL << 20;
+  p.base.topology = t;
+
+  const ServiceResult r = run_service(p);
+  expect_conservation(r);
+  EXPECT_EQ(r.checksum_divergences, 0u);
+  std::uint64_t failed = 0;
+  for (const auto& j : r.jobs) {
+    if (j.outcome == trace::ServiceJobOutcome::Failed) {
+      ++failed;
+      EXPECT_EQ(j.error, "out-of-memory") << "tenant " << j.tenant << " job "
+                                          << j.job;
+    } else {
+      EXPECT_TRUE(j.error.empty());
+    }
+  }
+  EXPECT_GT(failed, 0u);
+}
+
 }  // namespace
 }  // namespace zc::service
